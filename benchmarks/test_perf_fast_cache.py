@@ -13,10 +13,11 @@ for slower CI runners):
   launch simulator replays) through the reference engine's inlined
   ``access_stream`` loop vs. the fast engine's ``replay_arrays``.
   Measured ~3.5-5x; floor 1.8x.
-* **end-to-end fig5** — the full HSOpticalFlow comparison under both
-  backends.  The experiment is scheduler-heavy (cache replay is ~1/3
-  of the reference profile), so the end-to-end ratio is Amdahl-bound
-  well below the raw ratio.  Measured ~1.25-1.30x; floor 1.05x.
+* **end-to-end fig5** — the full HSOpticalFlow comparison with its
+  KTiler on either simulator engine (the default-vs-tiled replays run
+  on the production engine both ways).  The experiment is
+  scheduler-heavy, so the end-to-end ratio is Amdahl-bound well below
+  the raw ratio.  Floor 1.05x.
 * **adversarial stream** — uniform-random lines maximize the per-set
   access depth (the round count), the vectorized engine's degenerate
   regime; measured ~0.6-2x vs ``access_stream`` depending on the
@@ -135,14 +136,26 @@ def test_raw_replay_speedup():
     )
 
 
-def test_fig5_end_to_end_speedup():
+def _run_fig5(backend: str):
+    """``run_fig5`` with its KTiler on ``backend``'s simulator engine."""
+    import functools
+    from unittest import mock
+
+    from repro.core.ktiler import KTiler
     from repro.experiments import run_fig5
+
+    ktiler = functools.partial(KTiler, backend=backend)
+    with mock.patch("repro.experiments.fig5.KTiler", ktiler):
+        return run_fig5()
+
+
+def test_fig5_end_to_end_speedup():
     from repro.obs.bench import run_benchmark
 
     # Identity first: every row of the comparison table must be equal,
     # not approximately equal — the backends share no float slack.
-    ref = run_fig5(backend="reference")
-    fast = run_fig5(backend="fast")
+    ref = _run_fig5("reference")
+    fast = _run_fig5("fast")
     assert fast.report.rows == ref.report.rows
     assert {str(k): str(v) for k, v in fast.plan_stats.items()} == {
         str(k): str(v) for k, v in ref.plan_stats.items()
@@ -152,12 +165,12 @@ def test_fig5_end_to_end_speedup():
     # of 3 already shrugs off a slow first repeat.
     ref_res = run_benchmark(
         "fig5.reference",
-        lambda tracer: run_fig5(backend="reference"),
+        lambda tracer: _run_fig5("reference"),
         repeats=3, warmup=0,
     )
     fast_res = run_benchmark(
         "fig5.fast",
-        lambda tracer: run_fig5(backend="fast"),
+        lambda tracer: _run_fig5("fast"),
         repeats=3, warmup=0,
     )
     ratio = ref_res.wall.median / fast_res.wall.median

@@ -1,47 +1,29 @@
 """Repository-root pytest configuration.
 
-Adds ``--sim-backend`` so the whole suite can be exercised against
-either L2 replay engine (see :mod:`repro.gpusim.fast_cache`),
-``--planner-backend`` so it can be exercised against either merge
-planner (see :mod:`repro.core.fast_cluster`), and ``--workers`` so it
-can be exercised with the parallel pipeline stages fanned out over
-processes (see :mod:`repro.parallel`).  All selections are exported
-through the same environment hooks the CLI honours
-(``KTILER_SIM_BACKEND`` / ``KTILER_PLANNER_BACKEND`` /
-``KTILER_WORKERS``) before any test runs, so no individual test needs
-to thread them explicitly.
+Adds ``--workers`` so the suite can be exercised with the parallel
+pipeline stages fanned out over processes (see :mod:`repro.parallel`).
+The selection is exported through the same environment hook the CLI
+honours (``KTILER_WORKERS``) before any test runs, so no individual
+test needs to thread it explicitly.
 
-CI runs the tier-1 suite once per backend (sim and planner) plus a
-``--workers=2`` leg; every leg must pass with identical results because
-the fast engines are bit-exact by contract and the parallel stages are
-bit-identical to the serial oracle by construction.
+Production code runs one simulator engine and one planner engine, the
+fast ones.  The reference engines are test oracles: the golden and
+differential suites reach them through the ``backend=`` /
+``planner_backend=`` keywords of ``GpuSimulator`` and ``KTiler`` on
+every run, so no option selects them.  CI runs the tier-1 suite serially
+and with ``--workers=2``; both legs must pass with identical results
+because the parallel stages are bit-identical to the serial oracle by
+construction.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.core.fast_cluster import PLANNER_BACKEND_ENV_VAR, PLANNER_BACKENDS
-from repro.gpusim.fast_cache import BACKEND_ENV_VAR, BACKENDS
 from repro.parallel import WORKERS_ENV_VAR
 
 
 def pytest_addoption(parser):
-    parser.addoption(
-        "--sim-backend",
-        choices=BACKENDS,
-        default=None,
-        help="L2 replay engine for every simulator built during the run "
-        f"(sets {BACKEND_ENV_VAR}; default: leave the environment as-is)",
-    )
-    parser.addoption(
-        "--planner-backend",
-        choices=PLANNER_BACKENDS,
-        default=None,
-        help="merge planner for every KTiler built during the run "
-        f"(sets {PLANNER_BACKEND_ENV_VAR}; default: leave the "
-        "environment as-is)",
-    )
     parser.addoption(
         "--workers",
         type=int,
@@ -52,36 +34,16 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
-    backend = config.getoption("--sim-backend")
-    if backend is not None:
-        os.environ[BACKEND_ENV_VAR] = backend
-    planner = config.getoption("--planner-backend")
-    if planner is not None:
-        os.environ[PLANNER_BACKEND_ENV_VAR] = planner
     workers = config.getoption("--workers")
     if workers is not None:
         os.environ[WORKERS_ENV_VAR] = str(workers)
 
 
 def pytest_report_header(config):
-    parts = []
-    backend = os.environ.get(BACKEND_ENV_VAR)
-    if backend:
-        parts.append(f"sim backend: {backend} ({BACKEND_ENV_VAR})")
-    else:
-        parts.append(
-            "sim backend: per-call defaults (reference core, fast experiments)"
-        )
-    planner = os.environ.get(PLANNER_BACKEND_ENV_VAR)
-    if planner:
-        parts.append(
-            f"planner backend: {planner} ({PLANNER_BACKEND_ENV_VAR})"
-        )
-    else:
-        parts.append(
-            "planner backend: per-call defaults "
-            "(reference core, fast experiments)"
-        )
+    parts = [
+        "engines: fast sim + fast planner "
+        "(reference oracles run inside the golden/differential suites)"
+    ]
     workers = os.environ.get(WORKERS_ENV_VAR)
     if workers:
         parts.append(f"workers: {workers} ({WORKERS_ENV_VAR})")

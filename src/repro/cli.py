@@ -31,12 +31,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import List, Optional
 
-from repro.core.fast_cluster import PLANNER_BACKEND_ENV_VAR, PLANNER_BACKENDS
 from repro.experiments import (
     cache_sweep,
     gap_sweep,
@@ -49,7 +47,6 @@ from repro.experiments import (
 )
 from repro.experiments.presets import PAPER_SPEC, SCALED_SPEC
 from repro.gpusim.arch import GpuSpec, spec_with_l2
-from repro.gpusim.fast_cache import BACKEND_ENV_VAR, BACKENDS
 from repro.obs import (
     NULL_TRACER,
     PROFILE_SCHEMA_VERSION,
@@ -67,27 +64,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="override the simulated L2 size in KiB",
-    )
-    parser.add_argument(
-        "--sim-backend",
-        choices=BACKENDS,
-        default=None,
-        help=(
-            "L2 replay engine: 'reference' (list-based oracle) or 'fast' "
-            f"(vectorized, bit-identical); default from ${BACKEND_ENV_VAR} "
-            "or the experiment's own default"
-        ),
-    )
-    parser.add_argument(
-        "--planner-backend",
-        choices=PLANNER_BACKENDS,
-        default=None,
-        help=(
-            "merge planner: 'reference' (per-candidate BFS) or 'fast' "
-            "(incremental bitset reachability, bit-identical schedules); "
-            f"default from ${PLANNER_BACKEND_ENV_VAR} or the "
-            "experiment's own default"
-        ),
     )
     parser.add_argument(
         "--workers",
@@ -214,14 +190,6 @@ def _finish_obs(args: argparse.Namespace, tracer) -> None:
         )
 
 
-def _backend(args: argparse.Namespace) -> Optional[str]:
-    return getattr(args, "sim_backend", None)
-
-
-def _planner_backend(args: argparse.Namespace) -> Optional[str]:
-    return getattr(args, "planner_backend", None)
-
-
 def _workers(args: argparse.Namespace) -> Optional[int]:
     return getattr(args, "workers", None)
 
@@ -241,7 +209,6 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
         image_size=args.size,
         spec=_resolve_spec(PAPER_SPEC, args),
         tracer=tracer,
-        backend=_backend(args),
         store=_store(args, tracer),
     )
     print(result.format_table())
@@ -256,7 +223,6 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
         spec=_resolve_spec(PAPER_SPEC, args),
         with_split_comparison=not args.no_split,
         tracer=tracer,
-        backend=_backend(args),
         workers=_workers(args),
     )
     print(result.format_table())
@@ -281,10 +247,8 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
         spec=_resolve_spec(SCALED_SPEC, args),
         check_functional=args.check_functional,
         tracer=tracer,
-        backend=_backend(args),
         workers=_workers(args),
         store=_store(args, tracer),
-        planner_backend=_planner_backend(args),
     )
     print(result.format_table())
     _finish_obs(args, tracer)
@@ -295,7 +259,6 @@ def _cmd_suitability(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     result = run_suitability(
         spec=_resolve_spec(PAPER_SPEC, args), tracer=tracer,
-        backend=_backend(args),
     )
     print(result.format_table())
     _finish_obs(args, tracer)
@@ -310,11 +273,9 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
         "gap": gap_sweep,
     }
     result = sweeps[args.knob](
-        backend=_backend(args),
         workers=_workers(args),
         store=_store(args, tracer),
         tracer=tracer,
-        planner_backend=_planner_backend(args),
     )
     print(result.format_table())
     _finish_obs(args, tracer)
@@ -332,8 +293,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     ktiler = KTiler(
         app.graph,
         config=KTilerConfig(launch_overhead_us=2.0),
-        backend=_backend(args),
-        planner_backend=_planner_backend(args),
     )
     plan = ktiler.plan(NOMINAL)
     print(plan.schedule.summary())
@@ -391,10 +350,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         spec=spec,
         config=KTilerConfig(launch_overhead_us=spec.launch_gap_us),
         tracer=tracer,
-        backend=_backend(args),
         workers=_workers(args),
         store=_store(args, tracer),
-        planner_backend=_planner_backend(args),
     )
     report = compare_default_vs_ktiler(ktiler, [NOMINAL])
     print(report.format_table())
@@ -449,10 +406,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         spec=spec,
         config=KTilerConfig(launch_overhead_us=spec.launch_gap_us),
         tracer=tracer,
-        backend=_backend(args),
         workers=_workers(args),
         store=_store(args, tracer),
-        planner_backend=_planner_backend(args),
     )
     audit = audit_schedule(ktiler, freq=NOMINAL, tracer=tracer)
     print(audit.format_table())
@@ -504,10 +459,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         spec=spec,
         config=KTilerConfig(launch_overhead_us=spec.launch_gap_us),
         tracer=tracer,
-        backend=_backend(args),
         workers=_workers(args),
         store=_store(args, tracer),
-        planner_backend=_planner_backend(args),
     )
     plan_a = ktiler.plan(freq_a)
     plan_b = ktiler.plan(freq_b)
@@ -580,10 +533,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         app,
         spec=spec,
         engine=engine,
-        backend=_backend(args),
         workers=_workers(args),
         tracer=tracer,
-        planner_backend=_planner_backend(args),
     )
     work = capture["work"]
     print(
@@ -606,12 +557,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             repeats=args.repeats,
             warmup=args.warmup,
             spec=spec,
-            backend=_backend(args),
             workers=_workers(args),
             seed=args.seed,
             image_size=args.size or 32,
             log=lambda line: print(line, file=sys.stderr),
-            planner_backend=_planner_backend(args),
         )
         wall_fit = sweep["exponents"]["wall_s"]
         print(
@@ -625,9 +574,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         app.graph.name if hasattr(app.graph, "name") else args.preset,
         capture=capture,
         sweep=sweep,
-        backend=_backend(args),
         workers=_workers(args),
-        planner_backend=_planner_backend(args),
     )
     written = []
     if args.json:
@@ -709,20 +656,13 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     from repro.obs.bench_html import write_bench
 
     names = args.benchmarks.split(",") if args.benchmarks else None
-    # The suite's KTilers resolve the planner backend from the
-    # environment, so export the flag there: the fingerprint and the
-    # benchmarked pipeline then agree by construction.
-    if _planner_backend(args):
-        os.environ[PLANNER_BACKEND_ENV_VAR] = _planner_backend(args)
     doc = run_suite(
         names=names,
         scale=args.scale,
         repeats=args.repeats,
         warmup=args.warmup,
-        backend=_backend(args),
         workers=_workers(args),
         log=lambda line: print(line, file=sys.stderr),
-        planner_backend=_planner_backend(args),
     )
     report = None
     if args.compare:
@@ -811,8 +751,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = PlanService(
         tracer=tracer,
         store=_store(args, tracer),
-        sim_backend=_backend(args),
-        planner_backend=_planner_backend(args),
         workers=_workers(args),
         timeout_s=args.timeout_s,
         max_body_bytes=args.max_body_kb * 1024,
@@ -851,10 +789,6 @@ def _client_request_body(args: argparse.Namespace) -> dict:
         if args.mem_mhz is not None:
             freq["mem_mhz"] = args.mem_mhz
         body["freq"] = freq
-    if _backend(args) is not None:
-        body["sim_backend"] = _backend(args)
-    if _planner_backend(args) is not None:
-        body["planner_backend"] = _planner_backend(args)
     if _workers(args) is not None:
         body["workers"] = _workers(args)
     if getattr(args, "measure", False):
@@ -994,8 +928,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         distinct=args.distinct,
         seed=args.seed,
         app_params=app_params or None,
-        sim_backend=_backend(args),
-        planner_backend=_planner_backend(args),
         workers=_workers(args),
         log=lambda message: print(message, file=sys.stderr),
     )
@@ -1063,11 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="two-kernel quickstart (Figure 1)")
     p.add_argument("--size", type=int, default=1024, help="image side")
-    p.add_argument("--sim-backend", choices=BACKENDS, default=None,
-                   help="L2 replay engine (reference|fast)")
-    p.add_argument("--planner-backend", choices=PLANNER_BACKENDS,
-                   default=None,
-                   help="merge planner (reference|fast)")
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser(
@@ -1214,12 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="baseline bench-run JSON to check against")
     b.add_argument("--update-baseline", metavar="PATH", default=None,
                    help="also write this run as the new baseline")
-    b.add_argument("--sim-backend", choices=BACKENDS, default=None,
-                   help="L2 replay engine (recorded in the fingerprint)")
-    b.add_argument("--planner-backend", choices=PLANNER_BACKENDS,
-                   default=None,
-                   help="merge planner (exported to the environment and "
-                        "recorded in the fingerprint)")
     b.add_argument("--workers", type=int, default=None, metavar="N",
                    help="worker count (recorded in the fingerprint)")
     _add_bench_compare_knobs(b)

@@ -4,11 +4,9 @@ from repro.core.app_tile import TilingResult, TilingStats, application_tile
 from repro.core.baselines import exhaustive_tile, merge_all_tile
 from repro.core.cluster import Partition
 from repro.core.fast_cluster import (
-    PLANNER_BACKEND_ENV_VAR,
     PLANNER_BACKENDS,
     FastPartition,
     make_partition,
-    resolve_planner_backend,
 )
 from repro.core.cluster_tile import (
     ClusterTiling,
@@ -64,9 +62,7 @@ __all__ = [
     "Partition",
     "FastPartition",
     "make_partition",
-    "resolve_planner_backend",
     "PLANNER_BACKENDS",
-    "PLANNER_BACKEND_ENV_VAR",
     "ClusterTiling",
     "cluster_tile",
     "cluster_sinks",

@@ -113,7 +113,7 @@ def application_tile(
     max_cluster_nodes: Optional[int] = None,
     tracer=NULL_TRACER,
     workers: int = 1,
-    planner_backend: Optional[str] = None,
+    planner_backend: str = "fast",
 ) -> TilingResult:
     """Algorithm 1.
 
@@ -123,11 +123,10 @@ def application_tile(
     paper that bounds scheduling time on very deep graphs (``None``
     reproduces the paper exactly).
 
-    ``planner_backend`` selects the partition engine (reference BFS
-    oracle or the bitset reachability index of
-    :mod:`repro.core.fast_cluster`); both make identical merge
-    decisions by contract, differing only in the validity-family work
-    counters.
+    ``planner_backend`` selects the partition engine: the bitset
+    reachability index of :mod:`repro.core.fast_cluster` (production)
+    or the reference BFS oracle.  Both make identical merge decisions
+    by contract, differing only in the validity-family work counters.
 
     With tracing enabled, every merge decision is emitted as a
     ``sched.merge`` instant event carrying the candidate edge, its

@@ -19,8 +19,9 @@ cost, and discard cheaply.
 This module is the **reference planner backend** (the oracle).  The
 fast backend (:mod:`repro.core.fast_cluster`) answers the same
 questions with an incrementally repaired bitset reachability index and
-in-place quotient updates, bit-identical by contract; select with
-``--planner-backend`` / ``KTILER_PLANNER_BACKEND``.
+in-place quotient updates, bit-identical by contract, and is the one
+production runs; reach this oracle with
+``KTiler(planner_backend="reference")``.
 """
 
 from __future__ import annotations

@@ -56,31 +56,24 @@ planner backend but **planner-backend-local** by design, which is why
 the planner backend participates in the plan-store fingerprint while
 the sim backend does not.
 
-Backend selection
------------------
-:func:`resolve_planner_backend` mirrors the sim-backend selector
-(:func:`repro.gpusim.fast_cache.resolve_backend`): explicit argument >
-``KTILER_PLANNER_BACKEND`` environment variable > caller default.  The
-core :class:`~repro.core.ktiler.KTiler` defaults to the reference
-partition (the oracle); the experiment/profile/bench drivers default to
-the fast backend.  ``pytest --planner-backend=...`` (root
-``conftest.py``) and ``ktiler ... --planner-backend=...`` both feed
-this resolver.
+Engine selection
+----------------
+The fast partition is the only one production code runs.  The
+reference partition (:mod:`repro.core.cluster`) stays importable as the
+test oracle; it is reached only through
+``KTiler(planner_backend="reference")`` (or :func:`make_partition`
+directly), and no environment variable or CLI flag selects it.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Dict, FrozenSet, List, Optional, Set
 
 import numpy as np
 
 from repro.errors import ConfigurationError, GraphError
 from repro.graph.kernel_graph import KernelGraph
-
-#: Environment variable consulted when no explicit backend is given.
-PLANNER_BACKEND_ENV_VAR = "KTILER_PLANNER_BACKEND"
 
 #: Recognized planner backend names.
 PLANNER_BACKENDS = ("reference", "fast")
@@ -90,31 +83,23 @@ _WORD_BITS = 64
 _ONES = _WORD(0xFFFFFFFFFFFFFFFF)
 
 
-def resolve_planner_backend(
-    backend: Optional[str] = None, default: str = "reference"
-) -> str:
-    """Resolve a planner backend name: explicit arg > env var > default."""
-    name = backend or os.environ.get(PLANNER_BACKEND_ENV_VAR) or default
-    if name not in PLANNER_BACKENDS:
-        raise ConfigurationError(
-            f"unknown planner backend '{name}' "
-            f"(expected one of {PLANNER_BACKENDS})"
-        )
-    return name
-
-
-def make_partition(graph: KernelGraph, backend: Optional[str] = None, work=None):
+def make_partition(graph: KernelGraph, backend: str = "fast", work=None):
     """Build the singleton partition of ``graph`` for a planner backend.
 
     ``work`` (a :class:`~repro.core.work.PlannerWork`) receives the
     fast backend's index-construction charge; the reference backend
     builds no index and charges nothing.
     """
-    if resolve_planner_backend(backend) == "fast":
+    if backend == "fast":
         return FastPartition.singletons(graph, work=work)
-    from repro.core.cluster import Partition
+    if backend == "reference":
+        from repro.core.cluster import Partition
 
-    return Partition.singletons(graph)
+        return Partition.singletons(graph)
+    raise ConfigurationError(
+        f"unknown planner backend '{backend}' "
+        f"(expected one of {PLANNER_BACKENDS})"
+    )
 
 
 def _mask(bit: int) -> np.uint64:

@@ -25,7 +25,7 @@ from repro.analyzer.dependency import build_block_graph
 from repro.analyzer.footprint import BlockMemoryLines
 from repro.analyzer.instrument import InstrumentedRun, run_instrumented
 from repro.core.app_tile import TilingResult, application_tile
-from repro.core.fast_cluster import resolve_planner_backend
+from repro.core.fast_cluster import PLANNER_BACKENDS
 from repro.core.profiler import (
     DEFAULT_GRID_FRACTIONS,
     KernelProfiler,
@@ -37,7 +37,6 @@ from repro.errors import ConfigurationError
 from repro.gpusim.arch import GpuSpec
 from repro.gpusim.dram import DramModel
 from repro.gpusim.executor import GpuSimulator, time_launch
-from repro.gpusim.fast_cache import resolve_backend
 from repro.gpusim.freq import FrequencyConfig, NOMINAL
 from repro.graph.block_graph import BlockDependencyGraph
 from repro.graph.kernel_graph import KernelGraph
@@ -79,7 +78,13 @@ class KTilerConfig:
 
 
 class KTiler:
-    """End-to-end KTILER for one application graph on one device."""
+    """End-to-end KTILER for one application graph on one device.
+
+    ``backend`` and ``planner_backend`` name the simulator and planner
+    engines: ``"fast"`` (production) or ``"reference"`` (the test
+    oracles, bit-identical by contract).  Neither is read from the
+    environment.
+    """
 
     def __init__(
         self,
@@ -87,27 +92,31 @@ class KTiler:
         spec: Optional[GpuSpec] = None,
         config: Optional[KTilerConfig] = None,
         tracer=NULL_TRACER,
-        backend: Optional[str] = None,
+        backend: str = "fast",
         workers: Optional[int] = None,
         store=None,
-        planner_backend: Optional[str] = None,
+        planner_backend: str = "fast",
     ):
+        if planner_backend not in PLANNER_BACKENDS:
+            raise ConfigurationError(
+                f"unknown planner backend '{planner_backend}' "
+                f"(expected one of {PLANNER_BACKENDS})"
+            )
         graph.validate()
         self.graph = graph
         self.spec = spec if spec is not None else GpuSpec()
         self.config = config if config is not None else KTilerConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.backend = resolve_backend(backend)
-        self.planner_backend = resolve_planner_backend(planner_backend)
+        self.backend = backend
+        self.planner_backend = planner_backend
         self.workers = resolve_workers(workers)
         self.store = store if store is not None else NULL_STORE
         self.profiler = KernelProfiler(
-            self.spec,
-            self.config.grid_fractions,
-            backend=self.backend,
+            grid_fractions=self.config.grid_fractions,
             workers=self.workers,
             store=self.store,
             tracer=self.tracer,
+            sim=GpuSimulator(self.spec, backend=backend),
         )
         self._run: Optional[InstrumentedRun] = None
         self._block_graph: Optional[BlockDependencyGraph] = None
@@ -357,8 +366,8 @@ class KTiler:
 def _plan_task(task) -> TilingResult:
     """Worker-side per-frequency plan (module-level for pickling).
 
-    Builds a serial (workers=1) KTiler so workers never nest pools; the
-    backend strings were resolved by the parent.  A pickled
+    Builds a serial (workers=1) KTiler on the parent's engines so
+    workers never nest pools.  A pickled
     ArtifactStore travels as its root path, so warm artifacts are
     shared.
     """

@@ -70,20 +70,19 @@ def _read_lines_from(kernel: KernelSpec, blocks: Iterable[int], combo: InputComb
 
 
 def _tally_task(task) -> LaunchTally:
-    """Worker-side ladder measurement (module-level for pickling).
+    """One ladder measurement (module-level for pickling).
 
-    A fresh simulator with a flushed L2 is state-identical to the
-    parent's ``reset_cache()`` path, and ``tally_launch`` counts on
-    private per-SM counters — so the tally is bit-identical to the one
-    the serial loop produces.  The backend string was resolved in the
-    parent (forked workers may hold a stale ``$KTILER_SIM_BACKEND``).
+    A forked worker receives the simulator as a fresh device on the
+    parent's engine; the flush makes the in-process path state-identical
+    to it.  ``tally_launch`` counts on private per-SM counters, so the
+    tally is bit-identical to the one the serial loop produces.
     """
-    kernel, combo, grid, spec, backend = task
-    sim = GpuSimulator(spec, backend=backend)
+    sim, kernel, combo, grid = task
     blocks = range(grid)
+    sim.reset_cache()
     if combo:
         sim.l2.touch_many(
-            _read_lines_from(kernel, blocks, combo, spec.line_shift)
+            _read_lines_from(kernel, blocks, combo, sim.spec.line_shift)
         )
     return sim.tally_launch(kernel, blocks)
 
@@ -98,12 +97,12 @@ def _profile_kernel_task(task) -> List[LaunchTally]:
     the serial loop gets, so the fan-out adds no duplicated work.
     Finer granularities were measured strictly worse (per-combo tasks
     rebuild the memos per combo, ~2.3x the serial CPU).  Each tally
-    starts from a fresh simulator, so every one is bit-identical to
+    starts from a flushed cache, so every one is bit-identical to
     serial.
     """
-    kernel, combos, ladder, spec, backend = task
+    sim, kernel, combos, ladder = task
     return [
-        _tally_task((kernel, combo, grid, spec, backend))
+        _tally_task((sim, kernel, combo, grid))
         for combo in combos
         for grid in ladder
     ]
@@ -139,12 +138,14 @@ class KernelProfiler:
         self,
         spec: Optional[GpuSpec] = None,
         grid_fractions: Sequence[float] = DEFAULT_GRID_FRACTIONS,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         store=NULL_STORE,
         tracer=NULL_TRACER,
+        sim: Optional[GpuSimulator] = None,
     ):
-        self.sim = GpuSimulator(spec, backend=backend)
+        # ``sim`` defaults to a fresh simulator of ``spec``; KTiler
+        # passes one on its own engine.
+        self.sim = sim if sim is not None else GpuSimulator(spec)
         self.grid_fractions = tuple(grid_fractions)
         self.workers = resolve_workers(workers)
         self.store = store if store is not None else NULL_STORE
@@ -160,13 +161,7 @@ class KernelProfiler:
         return self.sim.spec
 
     def _tally(self, kernel: KernelSpec, combo: InputCombo, grid: int) -> LaunchTally:
-        blocks = range(grid)
-        self.sim.reset_cache()
-        if combo:
-            self.sim.l2.touch_many(
-                _read_lines_from(kernel, blocks, combo, self.spec.line_shift)
-            )
-        return self.sim.tally_launch(kernel, blocks)
+        return _tally_task((self.sim, kernel, combo, grid))
 
     @staticmethod
     def standard_combos(kernel: KernelSpec) -> List[InputCombo]:
@@ -241,10 +236,7 @@ class KernelProfiler:
                 for grid in missing:
                     profile.tallies[(combo, grid)] = prefetched[grid]
             elif self.workers > 1 and len(missing) > 1:
-                tasks = [
-                    (kernel, combo, grid, self.spec, self.sim.backend)
-                    for grid in missing
-                ]
+                tasks = [(self.sim, kernel, combo, grid) for grid in missing]
                 tallies = parallel_map(
                     _tally_task, tasks, workers=self.workers,
                     tracer=self.tracer, label="profile",
@@ -307,16 +299,14 @@ class KernelProfiler:
                         continue
                 combos.append(combo)
             if combos:
-                tasks.append(
-                    (kernel, combos, ladder, self.spec, self.sim.backend)
-                )
+                tasks.append((self.sim, kernel, combos, ladder))
         if len(tasks) < 2:
             return
         results = parallel_map(
             _profile_kernel_task, tasks, workers=self.workers,
             tracer=self.tracer, label="profile.graph",
         )
-        for (kernel, combos, ladder, _, _), tallies in zip(tasks, results):
+        for (_, kernel, combos, ladder), tallies in zip(tasks, results):
             it = iter(tallies)
             for combo in combos:
                 self._prefetched[(kernel, combo)] = {

@@ -25,8 +25,6 @@ from typing import List, Optional, Sequence
 from repro.apps.synthetic import build_jacobi_pingpong
 from repro.core.ktiler import KTiler, KTilerConfig
 from repro.gpusim import GpuSpec
-from repro.core.fast_cluster import resolve_planner_backend
-from repro.gpusim.fast_cache import resolve_backend
 from repro.gpusim.freq import FrequencyConfig, NOMINAL
 from repro.graph.kernel_graph import KernelGraph
 from repro.parallel import parallel_map, resolve_workers
@@ -72,24 +70,16 @@ def _measure(
     freq: FrequencyConfig,
     config: KTilerConfig,
     gap_us: float,
-    backend: Optional[str] = None,
     store=None,
-    planner_backend: Optional[str] = None,
 ) -> AblationRow:
-    ktiler = KTiler(
-        graph, spec=spec, config=config, backend=backend, store=store,
-        planner_backend=planner_backend,
-    )
+    ktiler = KTiler(graph, spec=spec, config=config, store=store)
     plan = ktiler.plan(freq)
     default_run = measure_at(
-        tally_schedule(
-            ktiler.default_schedule(), graph, spec, backend=backend
-        ),
+        tally_schedule(ktiler.default_schedule(), graph, spec),
         spec, freq, gap_us,
     )
     tiled_run = measure_at(
-        tally_schedule(plan.schedule, graph, spec, backend=backend),
-        spec, freq, gap_us,
+        tally_schedule(plan.schedule, graph, spec), spec, freq, gap_us,
     )
     return AblationRow(
         parameter=0.0,
@@ -125,23 +115,19 @@ def threshold_sweep(
     spec: Optional[GpuSpec] = None,
     freq: FrequencyConfig = NOMINAL,
     gap_us: float = 1.0,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     store=None,
     tracer=None,
-    planner_backend: Optional[str] = None,
 ) -> AblationResult:
     from repro.obs.tracer import NULL_TRACER
 
-    backend = resolve_backend(backend, default="fast")
-    planner_backend = resolve_planner_backend(planner_backend, default="fast")
     used_spec = spec if spec is not None else GpuSpec(l2_bytes=512 * 1024)
     graph = _default_app()
     tasks = [
         (
             graph, used_spec, freq,
             KTilerConfig(threshold_us=threshold, launch_overhead_us=gap_us),
-            gap_us, backend, store, planner_backend,
+            gap_us, store,
         )
         for threshold in thresholds
     ]
@@ -159,22 +145,18 @@ def cache_sweep(
     ),
     freq: FrequencyConfig = NOMINAL,
     gap_us: float = 1.0,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     store=None,
     tracer=None,
-    planner_backend: Optional[str] = None,
 ) -> AblationResult:
     from repro.obs.tracer import NULL_TRACER
 
-    backend = resolve_backend(backend, default="fast")
-    planner_backend = resolve_planner_backend(planner_backend, default="fast")
     graph = _default_app()
     tasks = [
         (
             graph, GpuSpec(l2_bytes=l2_bytes), freq,
             KTilerConfig(launch_overhead_us=gap_us),
-            gap_us, backend, store, planner_backend,
+            gap_us, store,
         )
         for l2_bytes in l2_sizes
     ]
@@ -190,23 +172,19 @@ def gap_sweep(
     gaps_us: Sequence[float] = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
     spec: Optional[GpuSpec] = None,
     freq: FrequencyConfig = NOMINAL,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     store=None,
     tracer=None,
-    planner_backend: Optional[str] = None,
 ) -> AblationResult:
     from repro.obs.tracer import NULL_TRACER
 
-    backend = resolve_backend(backend, default="fast")
-    planner_backend = resolve_planner_backend(planner_backend, default="fast")
     used_spec = spec if spec is not None else GpuSpec(l2_bytes=512 * 1024)
     graph = _default_app()
     tasks = [
         (
             graph, used_spec, freq,
             KTilerConfig(launch_overhead_us=gap),
-            gap, backend, store, planner_backend,
+            gap, store,
         )
         for gap in gaps_us
     ]

@@ -28,8 +28,6 @@ from repro.experiments.presets import (
     SCALED_SPEC,
 )
 from repro.gpusim import GpuSpec
-from repro.core.fast_cluster import resolve_planner_backend
-from repro.gpusim.fast_cache import resolve_backend
 from repro.gpusim.freq import FIG5_CONFIGS, FrequencyConfig
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.functional import schedules_equivalent
@@ -77,26 +75,20 @@ def run_fig5(
     threshold_us: float = 0.0,
     check_functional: bool = False,
     tracer=NULL_TRACER,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     store=None,
-    planner_backend: Optional[str] = None,
 ) -> Fig5Result:
     """Reproduce the Figure 5 experiment.
 
     Pass an enabled :class:`repro.obs.Tracer` to capture scheduler
     decisions, per-launch counters, and the default/tiled timelines of
     every operating point (``ktiler fig5 --trace out.json``).
-    ``backend`` selects the simulator's L2 replay engine; experiments
-    default to the fast (vectorized, bit-identical) engine.
     ``workers`` fans the per-frequency plans and cache replays out
     across processes; ``store`` (an :class:`repro.store.ArtifactStore`)
     makes reruns of the same configuration serve schedules, profiles
     and replays from disk.  Both leave the result bit-identical.
     """
     used_spec = spec if spec is not None else SCALED_SPEC
-    backend = resolve_backend(backend, default="fast")
-    planner_backend = resolve_planner_backend(planner_backend, default="fast")
     app = build_hsopticalflow(
         frame_size=frame_size, levels=levels, jacobi_iters=jacobi_iters
     )
@@ -108,10 +100,8 @@ def run_fig5(
             launch_overhead_us=used_spec.launch_gap_us,
         ),
         tracer=tracer,
-        backend=backend,
         workers=workers,
         store=store,
-        planner_backend=planner_backend,
     )
     report = compare_default_vs_ktiler(ktiler, configs)
     plan_stats = {freq: ktiler.plan(freq).stats for freq in configs}

@@ -23,11 +23,9 @@ from repro.gpusim.arch import (
 from repro.gpusim.cache import CacheStats, SetAssocCache
 from repro.gpusim.dram import DramModel
 from repro.gpusim.fast_cache import (
-    BACKEND_ENV_VAR,
     BACKENDS,
     FastSetAssocCache,
     make_l2,
-    resolve_backend,
 )
 from repro.gpusim.executor import (
     GpuSimulator,
@@ -58,9 +56,7 @@ __all__ = [
     "SetAssocCache",
     "FastSetAssocCache",
     "BACKENDS",
-    "BACKEND_ENV_VAR",
     "make_l2",
-    "resolve_backend",
     "DramModel",
     "GpuSimulator",
     "LaunchResult",

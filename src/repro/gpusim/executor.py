@@ -39,7 +39,7 @@ from repro.errors import SimulationError
 from repro.gpusim.arch import GpuSpec, WARP_SIZE
 from repro.gpusim.cache import SetAssocCache
 from repro.gpusim.dram import DramModel
-from repro.gpusim.fast_cache import make_l2, resolve_backend
+from repro.gpusim.fast_cache import make_l2
 from repro.gpusim.freq import FrequencyConfig, NOMINAL
 from repro.obs.tracer import NULL_TRACER
 
@@ -213,11 +213,10 @@ class GpuSimulator:
     (sub-)kernel, :meth:`copy_to_device` models a host-to-device
     transfer, and the cache persists until :meth:`reset_cache`.
 
-    ``backend`` selects the L2 replay engine: ``"reference"`` (the
-    exact list-based oracle) or ``"fast"`` (vectorized batched replay,
-    bit-identical stats — see :mod:`repro.gpusim.fast_cache`).  When
-    None, the ``KTILER_SIM_BACKEND`` environment variable decides,
-    defaulting to the reference engine.
+    ``backend`` selects the L2 replay engine: ``"fast"`` (vectorized
+    batched replay, the production engine) or ``"reference"`` (the
+    exact list-based oracle the differential and golden suites compare
+    against — see :mod:`repro.gpusim.fast_cache`).
     """
 
     def __init__(
@@ -225,15 +224,21 @@ class GpuSimulator:
         spec: GpuSpec = None,
         freq: FrequencyConfig = NOMINAL,
         tracer=NULL_TRACER,
-        backend: Optional[str] = None,
+        backend: str = "fast",
     ):
         self.spec = spec if spec is not None else GpuSpec()
         self.freq = freq
-        self.backend = resolve_backend(backend)
+        self.l2 = make_l2(self.spec, backend)
+        self.backend = backend
         self.dram = DramModel.from_spec(self.spec)
-        self.l2 = make_l2(self.spec, self.backend)
         self.launches: List[LaunchResult] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
+
+    # Cache contents, launch history and the tracer are process-local; a
+    # pickled simulator travels as its configuration and arrives as a
+    # fresh, untraced device on the same engine (flushed L2).
+    def __reduce__(self):
+        return (GpuSimulator, (self.spec, self.freq, NULL_TRACER, self.backend))
 
     def set_frequency(self, freq: FrequencyConfig) -> None:
         self.freq = freq

@@ -32,28 +32,22 @@ monotonically increasing per-way timestamp; invalid ways carry
 timestamp 0 so ``argmin`` fills empty ways before evicting the true
 LRU way, exactly like the reference engine's append-then-pop.
 
-Backend selection
------------------
-:func:`resolve_backend` implements the precedence *explicit argument*
-> ``KTILER_SIM_BACKEND`` environment variable > caller default.  The
-launch simulator defaults to the reference engine (the oracle); the
-experiment drivers in :mod:`repro.experiments` default to the fast
-engine.  ``pytest --sim-backend=fast`` (see the root ``conftest.py``)
-and ``ktiler <experiment> --sim-backend=...`` both feed this resolver.
+Engine selection
+----------------
+The fast engine is the only one production code runs.  The reference
+engine stays importable as the test oracle; it is reached only through
+``GpuSimulator(backend="reference")`` (or :func:`make_l2` directly), and
+no environment variable or CLI flag selects it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.gpusim.cache import CacheStats, SetAssocCache
-
-#: Environment variable consulted when no explicit backend is given.
-BACKEND_ENV_VAR = "KTILER_SIM_BACKEND"
 
 #: Sentinel tag for an empty way (no real line id can take this value:
 #: line ids are byte addresses >> line_shift and must exceed INT64_MIN).
@@ -63,21 +57,15 @@ _INVALID_TAG = np.iinfo(np.int64).min
 BACKENDS = ("reference", "fast")
 
 
-def resolve_backend(backend: Optional[str] = None, default: str = "reference") -> str:
-    """Resolve a backend name: explicit arg > env var > ``default``."""
-    name = backend or os.environ.get(BACKEND_ENV_VAR) or default
-    if name not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown simulator backend '{name}' (expected one of {BACKENDS})"
-        )
-    return name
-
-
-def make_l2(spec, backend: Optional[str] = None, default: str = "reference"):
-    """Build the L2 of a :class:`repro.gpusim.arch.GpuSpec` for a backend."""
-    if resolve_backend(backend, default) == "fast":
+def make_l2(spec, backend: str = "fast"):
+    """Build the L2 of a :class:`repro.gpusim.arch.GpuSpec` on an engine."""
+    if backend == "fast":
         return FastSetAssocCache.from_spec(spec)
-    return SetAssocCache.from_spec(spec)
+    if backend == "reference":
+        return SetAssocCache.from_spec(spec)
+    raise ConfigurationError(
+        f"unknown simulator backend '{backend}' (expected one of {BACKENDS})"
+    )
 
 
 class FastSetAssocCache:

@@ -371,6 +371,7 @@ class _ReplayAudit:
     total_us: float
     hits: int
     misses: int
+    backend: str
 
     @property
     def hit_rate(self) -> float:
@@ -515,7 +516,6 @@ def _audited_replay(
     graph,
     spec,
     freq: FrequencyConfig,
-    backend: Optional[str],
     buffers,
     launch_gap_us: float,
     tracer,
@@ -523,7 +523,7 @@ def _audited_replay(
     """Replay one schedule on a fresh simulator with attribution on."""
     from repro.gpusim.executor import GpuSimulator
 
-    sim = GpuSimulator(spec, freq=freq, backend=backend)
+    sim = GpuSimulator(spec, freq=freq)
     attr = MissAttributor(buffers, spec.line_shift, sim.l2.capacity_lines)
     sim.l2.attach_attribution(attr)
     total_us = 0.0
@@ -549,6 +549,7 @@ def _audited_replay(
         total_us=total_us,
         hits=stats.hits,
         misses=stats.misses,
+        backend=sim.backend,
     )
 
 
@@ -578,12 +579,10 @@ def audit_schedule(
 
     with tracer.span("audit.replay", cat="audit", freq=freq.label):
         default = _audited_replay(
-            ktiler.default_schedule(), graph, spec, freq, ktiler.backend,
-            buffers, gap, tracer,
+            ktiler.default_schedule(), graph, spec, freq, buffers, gap, tracer,
         )
         tiled = _audited_replay(
-            plan.schedule, graph, spec, freq, ktiler.backend,
-            buffers, gap, tracer,
+            plan.schedule, graph, spec, freq, buffers, gap, tracer,
         )
 
     dram = DramModel.from_spec(spec)
@@ -626,7 +625,7 @@ def audit_schedule(
             "entries": sorted(decisive.values(), key=lambda e: e["seq"]),
         }
     audit = ScheduleAudit(
-        freq=freq, backend=ktiler.backend, default=default, tiled=tiled,
+        freq=freq, backend=tiled.backend, default=default, tiled=tiled,
         edges=edges, ledger=ledger_block,
     )
     if tracer.enabled:

@@ -18,7 +18,7 @@ Pieces, bottom to top:
   fresh :class:`~repro.obs.tracer.Tracer` per repeat, so a regression
   can name the phase that slowed, not just the total.
 * **environment fingerprint** — :func:`environment_fingerprint`
-  attaches git sha, python, platform, cpu count, sim backend, and
+  attaches git sha, python, platform, cpu count, the engines, and
   worker count to every run; :func:`fingerprint_noise_key` hashes the
   machine-stable subset (the git sha is deliberately excluded: it
   changes every commit without changing the machine's noise profile),
@@ -293,20 +293,15 @@ def _git_sha() -> str:
     return "unknown"
 
 
-def environment_fingerprint(
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    planner_backend: Optional[str] = None,
-) -> dict:
+def environment_fingerprint(workers: Optional[int] = None) -> dict:
     """Everything a sample's value may depend on, plus the git sha.
 
-    ``backend``/``workers``/``planner_backend`` resolve through the
-    same precedence the pipeline itself uses (argument > environment >
-    default), so the fingerprint records what actually ran, not what
-    was requested.
+    ``workers`` resolves through the same precedence the pipeline
+    itself uses (argument > environment > 1), so the fingerprint
+    records what actually ran, not what was requested.  Production code
+    runs only the fast simulator and planner engines; the reference
+    engines are test oracles and never run under a harness.
     """
-    from repro.core.fast_cluster import resolve_planner_backend
-    from repro.gpusim.fast_cache import resolve_backend
     from repro.parallel import resolve_workers
 
     fp = {
@@ -316,8 +311,8 @@ def environment_fingerprint(
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
-        "sim_backend": resolve_backend(backend),
-        "planner_backend": resolve_planner_backend(planner_backend),
+        "sim_backend": "fast",
+        "planner_backend": "fast",
         "workers": resolve_workers(workers),
         "numpy": np.__version__,
     }
@@ -462,7 +457,6 @@ def _bench_pipeline_plan(sizes: dict) -> Callable[[Tracer], object]:
             app.graph,
             config=KTilerConfig(launch_overhead_us=2.0),
             tracer=tracer,
-            backend="fast",
         )
         return ktiler.plan(NOMINAL)
 
@@ -485,7 +479,6 @@ def _bench_hsopticalflow_plan(sizes: dict) -> Callable[[Tracer], object]:
             app.graph,
             config=KTilerConfig(launch_overhead_us=2.0),
             tracer=tracer,
-            backend="fast",
         )
         return ktiler.plan(NOMINAL)
 
@@ -503,7 +496,6 @@ def _bench_pipeline_compare(sizes: dict) -> Callable[[Tracer], object]:
     ktiler = KTiler(
         app.graph,
         config=KTilerConfig(launch_overhead_us=2.0),
-        backend="fast",
     )
     ktiler.plan(NOMINAL)  # planning cost stays out of the timed region
 
@@ -550,10 +542,8 @@ def run_suite(
     scale: str = "full",
     repeats: int = 5,
     warmup: int = 1,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     log: Optional[Callable[[str], None]] = None,
-    planner_backend: Optional[str] = None,
 ) -> dict:
     """Run (a subset of) the registered suite; return the run document.
 
@@ -592,7 +582,7 @@ def run_suite(
         "schema_version": BENCH_SCHEMA_VERSION,
         "kind": "bench-run",
         "created_unix": round(time.time(), 3),
-        "environment": environment_fingerprint(backend, workers, planner_backend),
+        "environment": environment_fingerprint(workers),
         "config": {"repeats": repeats, "warmup": warmup, "scale": scale},
         "benchmarks": [r.as_dict() for r in results],
     }

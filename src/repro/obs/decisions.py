@@ -265,7 +265,7 @@ def validate_ledger(payload: Dict) -> Dict:
     return payload
 
 
-def replay_adopted(graph, ledger: DecisionLedger, planner_backend=None):
+def replay_adopted(graph, ledger: DecisionLedger, planner_backend="fast"):
     """Re-apply a ledger's adopted merges to a fresh partition.
 
     The ledger-sufficiency half of the provenance contract: starting

@@ -109,9 +109,7 @@ def build_loadgen_doc(
     distinct: int,
     seed: int,
     warmup_requests: int,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
-    planner_backend: Optional[str] = None,
     created_unix: Optional[float] = None,
     per_client_outcomes: Optional[List[List[str]]] = None,
     server_elapsed_ms: Optional[List[float]] = None,
@@ -182,7 +180,7 @@ def build_loadgen_doc(
         "created_unix": round(
             time.time() if created_unix is None else created_unix, 3
         ),
-        "environment": environment_fingerprint(backend, workers, planner_backend),
+        "environment": environment_fingerprint(workers),
         "config": {
             "repeats": len(all_latencies),
             "warmup": warmup_requests,
@@ -222,8 +220,6 @@ def run_loadgen(
     distinct: int = 1,
     seed: int = 0,
     app_params: Optional[dict] = None,
-    sim_backend: Optional[str] = None,
-    planner_backend: Optional[str] = None,
     workers: Optional[int] = None,
     timeout_s: float = 600.0,
     log=None,
@@ -244,11 +240,7 @@ def run_loadgen(
 
     handle = None
     if url is None:
-        service = PlanService(
-            sim_backend=sim_backend,
-            planner_backend=planner_backend,
-            workers=workers,
-        )
+        service = PlanService(workers=workers)
         handle = start_server(service)
         url = handle.url
         emit(f"[loadgen] in-process daemon at {url}")
@@ -319,9 +311,7 @@ def run_loadgen(
         distinct=distinct,
         seed=seed,
         warmup_requests=distinct,
-        backend=sim_backend,
         workers=workers,
-        planner_backend=planner_backend,
         per_client_outcomes=per_client_outcomes,
         server_elapsed_ms=server_elapsed_ms,
     )

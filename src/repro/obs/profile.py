@@ -16,7 +16,7 @@ path:
   (flat frames, but exact call counts with C-function attribution).
 
 * **Profile documents** — :func:`profile_planner` plans one application
-  under a chosen engine and :func:`build_profile_doc` packages the
+  under a chosen profiling engine and :func:`build_profile_doc` packages the
   result as a schema-versioned JSON document (``kind:
   "planner-profile"``, :data:`PROFILE_SCHEMA_VERSION`) carrying the
   environment fingerprint, per-phase wall breakdown, deterministic work
@@ -350,11 +350,9 @@ def profile_planner(
     spec=None,
     config=None,
     engine: Optional[str] = "stack",
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     tracer: Optional[Tracer] = None,
     spans: Sequence[str] = DEFAULT_PROFILE_SPANS,
-    planner_backend: Optional[str] = None,
 ) -> dict:
     """Plan ``app`` once under a profiling engine; return the raw capture.
 
@@ -362,9 +360,7 @@ def profile_planner(
     "engine", "frames", "profile_total_us"}``.  ``engine=None`` skips
     frame capture (counters and phases only).  The ``stack`` engine is
     scoped to ``spans``; ``cprofile`` wraps the whole pipeline (it
-    cannot pause mid-flight).  ``planner_backend`` selects the merge
-    planner (``reference``/``fast``) — the schedule is bit-identical
-    either way; the validity-family work counters are not.
+    cannot pause mid-flight).
     """
     from repro.core import KTiler, KTilerConfig
 
@@ -375,11 +371,7 @@ def profile_planner(
     tracer = tracer if tracer is not None else Tracer()
     if config is None:
         config = KTilerConfig(launch_overhead_us=2.0)
-    ktiler = KTiler(
-        app.graph, spec, config,
-        tracer=tracer, backend=backend, workers=workers,
-        planner_backend=planner_backend,
-    )
+    ktiler = KTiler(app.graph, spec, config, tracer=tracer, workers=workers)
     frames: List[dict] = []
     profile_total_us = 0.0
     t0 = time.perf_counter()
@@ -476,12 +468,10 @@ def run_sweep(
     repeats: int = 3,
     warmup: int = 1,
     spec=None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     seed: int = 0,
     image_size: int = 32,
     log: Optional[Callable[[str], None]] = None,
-    planner_backend: Optional[str] = None,
 ) -> dict:
     """Plan a :func:`build_probe_graph` size ladder; fit scaling exponents.
 
@@ -516,9 +506,7 @@ def run_sweep(
 
         def run(tracer: Tracer):
             ktiler = KTiler(
-                app.graph, spec, config,
-                tracer=tracer, backend=backend, workers=workers,
-                planner_backend=planner_backend,
+                app.graph, spec, config, tracer=tracer, workers=workers
             )
             return ktiler.plan()
 
@@ -598,17 +586,15 @@ def build_profile_doc(
     app_label: str,
     capture: Optional[dict] = None,
     sweep: Optional[dict] = None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     max_frames: int = 200,
-    planner_backend: Optional[str] = None,
 ) -> dict:
     """Package a capture and/or sweep as a planner-profile document."""
     doc: dict = {
         "schema_version": PROFILE_SCHEMA_VERSION,
         "kind": "planner-profile",
         "created_unix": round(time.time(), 3),
-        "environment": environment_fingerprint(backend, workers, planner_backend),
+        "environment": environment_fingerprint(workers),
         "app": app_label,
     }
     if capture is not None:

@@ -95,8 +95,6 @@ class PlanService:
         self,
         tracer: Optional[Tracer] = None,
         store=NULL_STORE,
-        sim_backend: Optional[str] = None,
-        planner_backend: Optional[str] = None,
         workers: Optional[int] = None,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
@@ -114,11 +112,7 @@ class PlanService:
             store.tracer = self.tracer
         self.timeout_s = timeout_s
         self.max_body_bytes = max_body_bytes
-        self.defaults = {
-            "sim_backend": sim_backend,
-            "planner_backend": planner_backend,
-            "workers": workers,
-        }
+        self.defaults = {"workers": workers}
         self._lock = threading.Lock()
         self._memo: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._max_memo_entries = max_memo_entries
@@ -237,10 +231,7 @@ class PlanService:
         with use_context(ctx):
             try:
                 request = parse_plan_request(
-                    payload,
-                    default_sim_backend=self.defaults["sim_backend"],
-                    default_planner_backend=self.defaults["planner_backend"],
-                    default_workers=self.defaults["workers"],
+                    payload, default_workers=self.defaults["workers"]
                 )
                 preset = request.preset
                 fingerprint = plan_fingerprint(request, self.store.key_for)
@@ -386,10 +377,8 @@ class PlanService:
             spec=request.spec,
             config=request.config,
             tracer=self.tracer,
-            backend=request.sim_backend,
             workers=request.workers,
             store=self.store,
-            planner_backend=request.planner_backend,
         )
 
     def _plan_job(self, request: PlanRequest, fingerprint: str) -> Dict[str, Any]:
@@ -430,11 +419,7 @@ class PlanService:
         from repro.runtime.streams import measure_with_streams
 
         tallies = tally_schedule(
-            plan.schedule,
-            request.graph,
-            request.spec,
-            tracer=self.tracer,
-            backend=request.sim_backend,
+            plan.schedule, request.graph, request.spec, tracer=self.tracer
         )
         blocking = measure_at(tallies, request.spec, request.freq)
         streamed = measure_with_streams(tallies, request.spec, request.freq)

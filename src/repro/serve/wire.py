@@ -18,9 +18,9 @@ HTTP API and keeps the service itself free of parsing concerns:
   the quantity the bit-identity contract is stated over.
 
 The fingerprint covers only plan-*semantic* inputs (graph, GpuSpec,
-frequency, KTilerConfig, planner backend).  Execution knobs that are
-bit-identical by contract (sim backend, worker count) are deliberately
-excluded: requests differing only in those coalesce onto one job.
+frequency, KTilerConfig).  The worker count is bit-identical by
+contract and deliberately excluded: requests differing only in it
+coalesce onto one job.  The service always plans on the fast engines.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.core.fast_cluster import resolve_planner_backend
 from repro.core.ktiler import KTilerConfig
 from repro.gpusim.arch import ConfigurationError, GpuSpec
-from repro.gpusim.fast_cache import resolve_backend
 from repro.gpusim.freq import NOMINAL, FrequencyConfig
 from repro.graph.kernel_graph import KernelGraph
 from repro.parallel.pool import resolve_workers
@@ -332,8 +330,6 @@ _TOP_KEYS = {
     "gpu",
     "freq",
     "config",
-    "planner_backend",
-    "sim_backend",
     "workers",
     "measure",
     "ledger",
@@ -351,26 +347,33 @@ class PlanRequest:
     spec: GpuSpec
     freq: FrequencyConfig
     config: KTilerConfig
-    planner_backend: str
-    sim_backend: str
     workers: int
     measure: bool = False
     ledger: bool = False
     timeout_s: Optional[float] = None
     echo: Dict[str, Any] = field(default_factory=dict)
 
+    # The service plans on the production engines only.  These
+    # read-only names remain for the benchmark harness (ktbench), their
+    # only reader, which forwards them to KTiler.
+    @property
+    def planner_backend(self) -> str:
+        return "fast"
+
+    @property
+    def sim_backend(self) -> str:
+        return "fast"
+
 
 def parse_plan_request(
     payload: Any,
-    default_sim_backend: Optional[str] = None,
-    default_planner_backend: Optional[str] = None,
     default_workers: Optional[int] = None,
 ) -> PlanRequest:
     """Validate a decoded JSON body into a :class:`PlanRequest`.
 
     Raises :class:`WireError` (→ 4xx) on any unknown key, unknown
-    preset/GpuSpec field, or out-of-bounds value; unspecified knobs fall
-    back to the service defaults and then the usual env-var resolution.
+    preset/GpuSpec field, or out-of-bounds value; an unspecified worker
+    count falls back to the service default and then ``$KTILER_WORKERS``.
     """
     body = _require_mapping(payload, "request body")
     extra = set(body) - _TOP_KEYS
@@ -383,22 +386,6 @@ def parse_plan_request(
     base_name, gpu_echo, spec = _parse_gpu(body)
     freq = _parse_freq(body)
     config = _parse_config(body, spec)
-
-    planner_backend = body.get("planner_backend", default_planner_backend)
-    if planner_backend is not None and not isinstance(planner_backend, str):
-        raise WireError("bad_value", "planner_backend must be a string")
-    try:
-        planner_backend = resolve_planner_backend(planner_backend)
-    except ConfigurationError as exc:
-        raise WireError("bad_value", str(exc))
-
-    sim_backend = body.get("sim_backend", default_sim_backend)
-    if sim_backend is not None and not isinstance(sim_backend, str):
-        raise WireError("bad_value", "sim_backend must be a string")
-    try:
-        sim_backend = resolve_backend(sim_backend)
-    except ConfigurationError as exc:
-        raise WireError("bad_value", str(exc))
 
     workers = body.get("workers", default_workers)
     if workers is not None and (
@@ -433,7 +420,6 @@ def parse_plan_request(
         "gpu": gpu_echo,
         "freq": {"gpu_mhz": freq.gpu_mhz, "mem_mhz": freq.mem_mhz},
         "config": _config_echo(config),
-        "planner_backend": planner_backend,
     }
     return PlanRequest(
         preset=preset,
@@ -442,8 +428,6 @@ def parse_plan_request(
         spec=spec,
         freq=freq,
         config=config,
-        planner_backend=planner_backend,
-        sim_backend=sim_backend,
         workers=workers,
         measure=measure,
         ledger=ledger,
@@ -467,13 +451,7 @@ def plan_fingerprint(request: PlanRequest, key_for) -> str:
     store entries written by CLI runs are served without planning.
     """
     return key_for(
-        plan_key(
-            request.graph,
-            request.spec,
-            request.config,
-            request.freq,
-            planner_backend=request.planner_backend,
-        )
+        plan_key(request.graph, request.spec, request.config, request.freq)
     )
 
 

@@ -232,7 +232,7 @@ def plan_key(
     spec: GpuSpec,
     config,
     freq: FrequencyConfig,
-    planner_backend: str = "reference",
+    planner_backend: str = "fast",
 ) -> Dict:
     """Store key of one plan artifact.
 

@@ -246,12 +246,16 @@ class TestFingerprint:
         perturbed = dict(base, git_sha="0" * 40)
         assert fingerprint_noise_key(perturbed) == base["noise_key"]
 
-    def test_backend_and_workers_flow_into_the_fingerprint(self):
-        fast = environment_fingerprint(backend="fast", workers=3)
-        ref = environment_fingerprint(backend="reference", workers=1)
-        assert fast["sim_backend"] == "fast" and fast["workers"] == 3
-        assert ref["sim_backend"] == "reference" and ref["workers"] == 1
-        assert fast["noise_key"] != ref["noise_key"]
+    def test_backend_and_workers_flow_into_the_fingerprint(self, monkeypatch):
+        # One engine pair runs in production, whatever the environment says.
+        monkeypatch.setenv("KTILER_SIM_BACKEND", "reference")
+        monkeypatch.setenv("KTILER_PLANNER_BACKEND", "reference")
+        three = environment_fingerprint(workers=3)
+        one = environment_fingerprint(workers=1)
+        assert three["workers"] == 3 and one["workers"] == 1
+        assert three["noise_key"] != one["noise_key"]
+        for fp in (three, one):
+            assert (fp["sim_backend"], fp["planner_backend"]) == ("fast", "fast")
 
 
 # ----------------------------------------------------------------------
@@ -324,6 +328,23 @@ class TestRunSuite:
         (bench,) = doc["benchmarks"]
         assert bench["name"] == "replay.raw"
         assert bench["phases"]["replay"]["median"] > 0.0
+
+    def test_environment_names_the_engines_the_suite_ran(self, monkeypatch):
+        import repro.core
+
+        engines = set()
+
+        class RecordingKTiler(repro.core.KTiler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.add((self.profiler.sim.backend, self.planner_backend))
+
+        monkeypatch.setattr(repro.core, "KTiler", RecordingKTiler)
+        doc = run_suite(
+            names=["pipeline.plan"], scale="quick", repeats=1, warmup=0
+        )
+        env = doc["environment"]
+        assert engines == {(env["sim_backend"], env["planner_backend"])}
 
     def test_unknown_benchmark_and_scale_rejected(self):
         with pytest.raises(ValueError, match="unknown benchmarks"):

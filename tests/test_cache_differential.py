@@ -285,16 +285,31 @@ class TestSimulatorBackendParity:
         fast_t = GpuSimulator(backend="fast").launch(scale)
         assert ref_t.time_us == fast_t.time_us
 
-    def test_env_var_selects_backend(self, monkeypatch):
+    def test_constructor_keyword_selects_the_engine(self, monkeypatch):
+        from repro.errors import ConfigurationError
         from repro.gpusim import GpuSimulator
-        from repro.gpusim.fast_cache import BACKEND_ENV_VAR
 
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fast")
-        sim = GpuSimulator()
-        assert getattr(sim.l2, "backend_name", None) == "fast"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        sim = GpuSimulator()
-        assert not getattr(sim.l2, "supports_batched_replay", False)
+        # The environment is never consulted: fast is the default.
+        monkeypatch.setenv("KTILER_SIM_BACKEND", "reference")
+        assert isinstance(GpuSimulator().l2, FastSetAssocCache)
+        assert isinstance(GpuSimulator(backend="reference").l2, SetAssocCache)
+        with pytest.raises(ConfigurationError):
+            GpuSimulator(backend="turbo")
+
+    def test_pickled_simulator_is_a_fresh_device_on_its_engine(self):
+        import pickle
+
+        from repro.gpusim import GpuSimulator
+
+        _, scale = self._apps()
+        for backend in ("reference", "fast"):
+            sim = GpuSimulator(backend=backend)
+            sim.launch(scale)
+            copy = pickle.loads(pickle.dumps(sim))
+            assert copy.backend == backend and copy.spec == sim.spec
+            assert copy.launches == [] and copy.l2.stats.snapshot() == (
+                GpuSimulator(backend=backend).l2.stats.snapshot()
+            )
 
 
 class TestAttributionBitIdentity:

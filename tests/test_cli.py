@@ -71,11 +71,22 @@ class TestParser:
         assert args.host == "127.0.0.1" and args.port == 8750
         assert args.timeout_s == 300.0 and args.max_body_kb == 1024
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--planner-backend", "fast",
+            ["serve", "--port", "0",
              "--cache-dir", "/tmp/c", "--timeout-s", "5"]
         )
-        assert args.port == 0 and args.planner_backend == "fast"
+        assert args.port == 0
         assert args.cache_dir == "/tmp/c" and args.timeout_s == 5.0
+
+    @pytest.mark.parametrize("argv", [
+        ["serve"], ["client", "plan"], ["loadgen"], ["demo"], ["fig5"],
+        ["profile"], ["bench", "run"],
+    ])
+    @pytest.mark.parametrize("flag", ["--sim-backend", "--planner-backend"])
+    def test_engine_flags_are_gone(self, argv, flag):
+        # One engine pair runs in production; no flag selects another.
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + [flag, "fast"])
 
     def test_client_registered_and_action_validated(self):
         args = build_parser().parse_args(
@@ -128,15 +139,12 @@ class TestClientRequestBody:
             "--preset", "fig5", "--size", "128", "--levels", "2",
             "--iters", "10", "--gpu-base", "paper", "--l2-kb", "512",
             "--gpu-mhz", "549", "--mem-mhz", "2505",
-            "--sim-backend", "fast", "--planner-backend", "fast",
             "--workers", "2", "--measure", "--timeout-s", "30",
         ]))
         assert body == {
             "app": {"preset": "fig5", "size": 128, "levels": 2, "iters": 10},
             "gpu": {"base": "paper", "l2_kb": 512},
             "freq": {"gpu_mhz": 549.0, "mem_mhz": 2505.0},
-            "sim_backend": "fast",
-            "planner_backend": "fast",
             "workers": 2,
             "measure": True,
             "timeout_s": 30.0,

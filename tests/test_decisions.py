@@ -35,7 +35,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import KTiler, KTilerConfig
-from repro.core.fast_cluster import PLANNER_BACKEND_ENV_VAR, PLANNER_BACKENDS
+from repro.core.fast_cluster import PLANNER_BACKENDS
 from repro.gpusim import NOMINAL
 from repro.gpusim.freq import FrequencyConfig
 from repro.obs import Tracer
@@ -66,7 +66,7 @@ def _pipeline_app():
     return build_pipeline(size=1024)
 
 
-def _plan(app, planner_backend=None, workers=None, tracer=None, freq=NOMINAL):
+def _plan(app, planner_backend="fast", workers=None, tracer=None, freq=NOMINAL):
     from repro.obs import NULL_TRACER
 
     ktiler = KTiler(
@@ -177,8 +177,7 @@ def _probe_app(shape, kernels):
 
 class TestLedgerBitIdentity:
     @pytest.mark.parametrize("shape,kernels", LEDGER_CASES)
-    def test_probe_graphs(self, shape, kernels, monkeypatch):
-        monkeypatch.delenv(PLANNER_BACKEND_ENV_VAR, raising=False)
+    def test_probe_graphs(self, shape, kernels):
         digests = set()
         for backend in PLANNER_BACKENDS:
             for workers in (1, 2):
@@ -189,11 +188,10 @@ class TestLedgerBitIdentity:
                 digests.add(plan.ledger.digest())
         assert len(digests) == 1
 
-    def test_fig5_family_app(self, monkeypatch):
+    def test_fig5_family_app(self):
         """A reduced Figure-5 graph: same ledger under every engine."""
         from repro.apps import build_hsopticalflow
 
-        monkeypatch.delenv(PLANNER_BACKEND_ENV_VAR, raising=False)
         digests = set()
         for backend in PLANNER_BACKENDS:
             for workers in (1, 2):
@@ -204,8 +202,7 @@ class TestLedgerBitIdentity:
                 digests.add(plan.ledger.digest())
         assert len(digests) == 1
 
-    def test_pipeline_adoption_rich(self, monkeypatch):
-        monkeypatch.delenv(PLANNER_BACKEND_ENV_VAR, raising=False)
+    def test_pipeline_adoption_rich(self):
         digests = set()
         for backend in PLANNER_BACKENDS:
             for workers in (1, 2):

@@ -4,10 +4,14 @@
 generated by the **reference** backend (regenerate with
 ``PYTHONPATH=src python tests/test_golden_figures.py``).  Both replay
 engines must reproduce them verbatim: the golden files pin the
-experiment outputs against accidental behavioral drift, and running
-the same comparison under ``--sim-backend=fast`` (or the parametrized
-tests below) re-proves the fast engine's bit-identical contract at
-whole-experiment granularity, not just per-stream.
+experiment outputs against accidental behavioral drift, and the
+parametrized tests below re-prove the fast engine's bit-identical
+contract at whole-experiment granularity, not just per-stream.
+
+``run_fig2``/``run_fig3`` run the production (fast) engine and take no
+engine argument; the reference leg swaps the simulator class they
+construct for one bound to the reference engine.  That leg runs
+serially, because a forked pool worker would not see the swap.
 
 Floats are rounded to 10 decimal places on both sides of the
 comparison; integers (block counts, grid sizes) must match exactly.
@@ -15,10 +19,15 @@ comparison; integers (block counts, grid sizes) must match exactly.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from repro.gpusim import GpuSimulator
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ROUND = 10
@@ -34,10 +43,23 @@ def _round(value):
     return value
 
 
+@contextlib.contextmanager
+def engine(backend: str):
+    """Run ``run_fig2``/``run_fig3`` on ``backend``'s simulator engine."""
+    if backend == "fast":
+        yield {}
+        return
+    reference = functools.partial(GpuSimulator, backend="reference")
+    with mock.patch("repro.experiments.fig2.GpuSimulator", reference), \
+            mock.patch("repro.experiments.fig3.GpuSimulator", reference):
+        yield {"workers": 1}
+
+
 def fig2_summary(backend: str) -> dict:
     from repro.experiments.fig2 import run_fig2
 
-    result = run_fig2(backend=backend)
+    with engine(backend):
+        result = run_fig2()
     return _round(
         {
             "default": result.default.summary_dict(ROUND),
@@ -51,7 +73,8 @@ def fig2_summary(backend: str) -> dict:
 def fig3_summary(backend: str) -> dict:
     from repro.experiments.fig3 import run_fig3
 
-    result = run_fig3(backend=backend)
+    with engine(backend) as kwargs:
+        result = run_fig3(**kwargs)
     return _round(
         {
             "grid_sizes": list(result.grid_sizes),

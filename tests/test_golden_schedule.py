@@ -48,7 +48,7 @@ GOLDEN_PATH = GOLDEN_DIR / "schedule_hsopticalflow_reference.json"
 COST_ROUND = 6
 
 
-def build_plan(backend: str, workers: int = 1, planner_backend: str = "reference"):
+def build_plan(workers: int = 1, **engines):
     from repro.apps.hsopticalflow import build_hsopticalflow
     from repro.core.ktiler import KTiler, KTilerConfig
     from repro.experiments.presets import (
@@ -68,9 +68,8 @@ def build_plan(backend: str, workers: int = 1, planner_backend: str = "reference
         app.graph,
         spec=SCALED_SPEC,
         config=KTilerConfig(launch_overhead_us=SCALED_SPEC.launch_gap_us),
-        backend=backend,
         workers=workers,
-        planner_backend=planner_backend,
+        **engines,
     )
     return app.graph, ktiler.plan(NOMINAL)
 
@@ -107,7 +106,7 @@ def load_golden() -> dict:
 def test_backends_reproduce_golden_schedule(backend, planner_backend):
     golden = load_golden()
     assert golden["backend"] == "reference"
-    graph, plan = build_plan(backend, planner_backend=planner_backend)
+    graph, plan = build_plan(backend=backend, planner_backend=planner_backend)
     summary, validity = plan_summary(graph, plan)
     assert summary == golden["summary"], (
         f"the scaled HSOpticalFlow schedule under backend={backend} "
@@ -121,7 +120,19 @@ def test_backends_reproduce_golden_schedule(backend, planner_backend):
 def test_parallel_scheduler_reproduces_golden_schedule():
     """workers=4 must land on the very same pinned schedule."""
     golden = load_golden()
-    graph, plan = build_plan("fast", workers=4, planner_backend="fast")
+    graph, plan = build_plan(workers=4)
+    summary, validity = plan_summary(graph, plan)
+    assert summary == golden["summary"]
+    assert validity == golden["validity"]["fast"]
+
+
+def test_engine_environment_variables_are_inert(monkeypatch):
+    """No engine is read from the environment: a default KTiler still
+    plans on the fast engines and reproduces their golden counters."""
+    golden = load_golden()
+    monkeypatch.setenv("KTILER_SIM_BACKEND", "reference")
+    monkeypatch.setenv("KTILER_PLANNER_BACKEND", "reference")
+    graph, plan = build_plan()
     summary, validity = plan_summary(graph, plan)
     assert summary == golden["summary"]
     assert validity == golden["validity"]["fast"]
@@ -132,7 +143,7 @@ def test_golden_schedule_roundtrips_through_serializer():
     from repro.core.serialize import schedule_from_dict, schedule_to_dict
 
     golden = load_golden()
-    graph, _ = build_plan("fast", planner_backend="fast")
+    graph, _ = build_plan()
     schedule = schedule_from_dict(golden["summary"]["schedule"], graph)
     assert schedule_to_dict(schedule, graph) == golden["summary"]["schedule"]
 
@@ -152,7 +163,7 @@ def test_wire_format_reproduces_golden_schedule_verbatim():
     from repro.store.fingerprint import content_key
 
     golden = load_golden()
-    graph, plan = build_plan("fast", planner_backend="fast")
+    graph, plan = build_plan()
     wire = json.loads(json.dumps(golden["summary"]["schedule"]))
     assert wire == golden["summary"]["schedule"]
     schedule = schedule_from_dict(wire, graph)
@@ -165,9 +176,9 @@ def test_wire_format_reproduces_golden_schedule_verbatim():
 
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    graph, plan = build_plan("reference", planner_backend="reference")
+    graph, plan = build_plan(backend="reference", planner_backend="reference")
     summary, ref_validity = plan_summary(graph, plan)
-    graph_fast, plan_fast = build_plan("reference", planner_backend="fast")
+    graph_fast, plan_fast = build_plan(backend="reference", planner_backend="fast")
     summary_fast, fast_validity = plan_summary(graph_fast, plan_fast)
     if summary != summary_fast:
         raise SystemExit(

@@ -31,11 +31,9 @@ from hypothesis import strategies as st
 
 from repro.core.cluster import Partition
 from repro.core.fast_cluster import (
-    PLANNER_BACKEND_ENV_VAR,
     PLANNER_BACKENDS,
     FastPartition,
     make_partition,
-    resolve_planner_backend,
 )
 from repro.core.work import VALIDITY_COUNTERS, PlannerWork
 from repro.errors import ConfigurationError, GraphError
@@ -307,29 +305,23 @@ class TestWorkCharging:
 
 
 class TestBackendSelector:
-    def test_precedence_arg_over_env_over_default(self, monkeypatch):
-        monkeypatch.delenv(PLANNER_BACKEND_ENV_VAR, raising=False)
-        assert resolve_planner_backend() == "reference"
-        assert resolve_planner_backend(default="fast") == "fast"
-        monkeypatch.setenv(PLANNER_BACKEND_ENV_VAR, "fast")
-        assert resolve_planner_backend() == "fast"
-        assert resolve_planner_backend("reference") == "reference"
+    def test_unknown_backend_rejected(self):
+        from repro.apps import build_pipeline
+        from repro.core import KTiler
 
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.delenv(PLANNER_BACKEND_ENV_VAR, raising=False)
+        graph = _StubGraph(3, [(0, 1), (1, 2)])
         with pytest.raises(ConfigurationError):
-            resolve_planner_backend("turbo")
-        monkeypatch.setenv(PLANNER_BACKEND_ENV_VAR, "warp")
+            make_partition(graph, "turbo")
         with pytest.raises(ConfigurationError):
-            resolve_planner_backend()
+            KTiler(build_pipeline(size=64).graph, planner_backend="warp")
 
     def test_make_partition_picks_the_backend(self, monkeypatch):
-        monkeypatch.delenv(PLANNER_BACKEND_ENV_VAR, raising=False)
+        # The environment is never consulted: fast is the default.
+        monkeypatch.setenv("KTILER_PLANNER_BACKEND", "reference")
         graph = _StubGraph(3, [(0, 1), (1, 2)])
-        assert isinstance(make_partition(graph), Partition)
-        assert isinstance(make_partition(graph, "fast"), FastPartition)
-        monkeypatch.setenv(PLANNER_BACKEND_ENV_VAR, "fast")
         assert isinstance(make_partition(graph), FastPartition)
+        assert isinstance(make_partition(graph, "fast"), FastPartition)
+        assert isinstance(make_partition(graph, "reference"), Partition)
 
     def test_backend_names(self):
         assert Partition.backend_name == "reference"
@@ -367,12 +359,11 @@ def _merge_trace(tracer):
 @pytest.mark.parametrize(
     "shape,kernels", [("chain", 24), ("fan", 24), ("grid", 25)]
 )
-def test_end_to_end_probe_graphs_bit_identical(shape, kernels, monkeypatch):
+def test_end_to_end_probe_graphs_bit_identical(shape, kernels):
     from repro.apps.synthetic import build_probe_graph
     from repro.core.serialize import schedule_to_dict
     from repro.obs import Tracer
 
-    monkeypatch.delenv(PLANNER_BACKEND_ENV_VAR, raising=False)
     docs, works, traces = {}, {}, {}
     for backend in PLANNER_BACKENDS:
         app = build_probe_graph(shape=shape, kernels=kernels, size=32, seed=0)
@@ -393,11 +384,10 @@ def test_end_to_end_probe_graphs_bit_identical(shape, kernels, monkeypatch):
         assert works["fast"][counter] == value, counter
 
 
-def test_end_to_end_real_app_bit_identical(monkeypatch):
+def test_end_to_end_real_app_bit_identical():
     from repro.apps import build_jacobi_pingpong
     from repro.core.serialize import schedule_to_dict
 
-    monkeypatch.delenv(PLANNER_BACKEND_ENV_VAR, raising=False)
     docs = {}
     stats = {}
     for backend in PLANNER_BACKENDS:
@@ -416,12 +406,10 @@ def test_end_to_end_real_app_bit_identical(monkeypatch):
     assert stats["reference"] == stats["fast"]
 
 
-def test_validity_counters_are_backend_local(monkeypatch):
+def test_validity_counters_are_backend_local():
     """The two backends charge the validity family differently (by
     design); both are deterministic run-to-run."""
     from repro.apps.synthetic import build_probe_graph
-
-    monkeypatch.delenv(PLANNER_BACKEND_ENV_VAR, raising=False)
 
     def run(backend):
         app = build_probe_graph(shape="chain", kernels=24, size=32, seed=0)

@@ -60,7 +60,7 @@ SMALL_SPEC = GpuSpec(l2_bytes=64 * 1024, launch_gap_us=1.0)
 CONFIG = KTilerConfig(launch_overhead_us=2.0)
 
 
-def _plan_work(app, backend=None, workers=None, store=None) -> dict:
+def _plan_work(app, backend="fast", workers=None, store=None) -> dict:
     ktiler = KTiler(
         app.graph, SMALL_SPEC, CONFIG,
         backend=backend, workers=workers, store=store,
@@ -310,17 +310,13 @@ class TestProfileDocuments:
         assert [p["kernels"] for p in sweep["points"]] == sweep["sizes"]
         exps = sweep["exponents"]
         assert exps["wall_s"]["r2"] > 0.5
-        # Work exponents are exact. The reference planner's BFS makes
-        # merge probing the one superlinear chain phase; the fast
-        # planner's bitset probes are word-counted and stay linear at
-        # these sizes (one word per row), matching the linear counters.
+        # Work exponents are exact. The fast planner's bitset probes are
+        # word-counted and stay linear at these sizes (one word per
+        # row), matching the linear counters.
         probes = exps["work"]["merge_probes"]["exponent"]
         visits = exps["work"]["blocks_visited"]["exponent"]
-        env = chain_profile_doc["environment"]
-        if env["planner_backend"] == "fast":
-            assert probes == pytest.approx(visits)
-        else:
-            assert probes > visits
+        assert chain_profile_doc["environment"]["planner_backend"] == "fast"
+        assert probes == pytest.approx(visits)
 
     @pytest.mark.parametrize(
         "mutate",

@@ -56,8 +56,6 @@ class TestPlanEndpoint:
             request.graph,
             spec=request.spec,
             config=request.config,
-            backend=request.sim_backend,
-            planner_backend=request.planner_backend,
         )
         plan = ktiler.plan(request.freq)
         assert response["fingerprint"] == plan_fingerprint(
@@ -100,11 +98,14 @@ class TestPlanEndpoint:
         # loses to blocking submission.
         assert streamed["busy_us"] <= streamed["total_us"] <= blocking["total_us"]
 
-    def test_sim_backend_does_not_change_fingerprint_or_digest(self, client):
-        reference = client.plan({**DEMO, "sim_backend": "reference"})
-        fast = client.plan({**DEMO, "sim_backend": "fast"})
-        assert reference["fingerprint"] == fast["fingerprint"]
-        assert reference["plan_digest"] == fast["plan_digest"]
+    @pytest.mark.parametrize("field", ["sim_backend", "planner_backend"])
+    def test_engine_fields_are_rejected_as_unknown(self, client, field):
+        # The service plans on one engine pair; no body key selects one.
+        with pytest.raises(ServeClientError) as err:
+            client.plan({**DEMO, field: "fast"})
+        assert err.value.status == 400
+        assert err.value.code == "bad_request"
+        assert field in err.value.body["error"]["message"]
 
     def test_distinct_frequencies_get_distinct_fingerprints(self, client):
         nominal = client.plan(DEMO)

@@ -27,7 +27,6 @@ import warnings
 import pytest
 
 from repro.apps.synthetic import build_jacobi_pingpong
-from repro.core.fast_cluster import resolve_planner_backend
 from repro.core.ktiler import KTiler, KTilerConfig
 from repro.gpusim import GpuSpec
 from repro.gpusim.freq import NOMINAL, FrequencyConfig
@@ -119,7 +118,7 @@ def test_l2_size_and_frequency_change_plan_keys(tmp_path):
         plan_key(graph, GpuSpec(), KTilerConfig(threshold_us=5.0), NOMINAL)
     )
     other_planner = store.key_for(
-        plan_key(graph, GpuSpec(), config, NOMINAL, planner_backend="fast")
+        plan_key(graph, GpuSpec(), config, NOMINAL, planner_backend="reference")
     )
     assert len({base, small_l2, other_freq, other_config, other_planner}) == 5
 
@@ -210,15 +209,10 @@ def test_corrupted_plan_entry_falls_back_to_scheduling(tmp_path):
     store = ArtifactStore(tmp_path)
     expected = KTiler(graph, spec=spec, config=config).plan(NOMINAL)
     KTiler(graph, spec=spec, config=config, store=store).plan(NOMINAL)
-    # The warm entry lives under whichever planner backend the run
-    # resolved (KTiler honours KTILER_PLANNER_BACKEND) — key it the
-    # same way or the corruption below would miss the artifact.
-    key = store.key_for(
-        plan_key(
-            graph, spec, config, NOMINAL,
-            planner_backend=resolve_planner_backend(),
-        )
-    )
+    # The warm entry lives under the planner engine KTiler ran (fast
+    # by default) — key it the same way or the corruption below would
+    # miss the artifact.
+    key = store.key_for(plan_key(graph, spec, config, NOMINAL))
     with open(store.path("plan", key), "w") as fh:
         fh.write('{"half an envel')
     with pytest.warns(RuntimeWarning):
